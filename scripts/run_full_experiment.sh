@@ -8,7 +8,7 @@
 # Environment:
 #   KNN_MNIST_DIR  directory with the canonical files   (default: data)
 #   OUT_DIR        where reports land                   (default: results)
-#   WORKERS        engine threads                       (default: nproc)
+#   OPENBLAS_NUM_THREADS  engine threads (default: every core)
 #   MAX_TRAIN/MAX_TEST  optional prefix subsets for a quick smoke run
 #
 # A warm cache directory under $OUT_DIR/cache lets the compare step reuse
@@ -17,7 +17,6 @@ set -euo pipefail
 
 DATA_DIR="${KNN_MNIST_DIR:-data}"
 OUT_DIR="${OUT_DIR:-results}"
-WORKERS="${WORKERS:-$(nproc)}"
 K="${K:-3}"
 
 pick() {  # prefer the raw file, fall back to .gz
@@ -46,22 +45,22 @@ CV_FLAGS=()
 echo "== cross-validation (plain metric, 10 folds, k = 1..10) =="
 $KNN crossval \
     --train-images "$TRAIN_IMAGES" --train-labels "$TRAIN_LABELS" \
-    --workers "$WORKERS" "${CV_FLAGS[@]}" \
+    "${CV_FLAGS[@]}" \
     --out "$OUT_DIR/crossval.csv"
 
 echo "== evaluate plain metric at k=$K =="
 $KNN evaluate "${DATA_FLAGS[@]}" "${SUBSET_FLAGS[@]}" \
-    --metric plain --k "$K" --workers "$WORKERS" \
+    --metric plain --k "$K" \
     --cache-dir "$OUT_DIR/cache" --out "$OUT_DIR/evaluate_plain.json"
 
 echo "== evaluate sliding metric at k=$K =="
 $KNN evaluate "${DATA_FLAGS[@]}" "${SUBSET_FLAGS[@]}" \
-    --metric sliding --k "$K" --workers "$WORKERS" \
+    --metric sliding --k "$K" \
     --cache-dir "$OUT_DIR/cache" --out "$OUT_DIR/evaluate_sliding.json"
 
 echo "== compare metrics (two-proportion z-test) =="
 $KNN compare "${DATA_FLAGS[@]}" "${SUBSET_FLAGS[@]}" \
-    --k "$K" --workers "$WORKERS" \
+    --k "$K" \
     --cache-dir "$OUT_DIR/cache" --out "$OUT_DIR/compare.json"
 
 echo "done; reports in $OUT_DIR/"

@@ -143,7 +143,7 @@ def classify_all(matrix: DistanceMatrix, train_labels: np.ndarray, k: int) -> li
 
 
 def classify_streaming(train: Dataset, test: Dataset, metric: MetricId,
-                       k: int, workers: int = 1, progress=None) -> np.ndarray:
+                       k: int, progress=None) -> np.ndarray:
     """Predicted labels without ever holding the full distance matrix.
 
     Consumes matrix blocks as they are produced and keeps only the label
@@ -152,6 +152,6 @@ def classify_streaming(train: Dataset, test: Dataset, metric: MetricId,
     if not 1 <= k <= len(train):
         raise BadK(f"k={k} not in 1..{len(train)}")
     out = np.empty(len(test), dtype=np.uint8)
-    for lo, block in iter_matrix_blocks(train, test, metric, workers, progress=progress):
+    for lo, block in iter_matrix_blocks(train, test, metric, progress=progress):
         out[lo:lo + block.shape[0]] = predict_labels(block, train.labels, k)
     return out

@@ -77,7 +77,6 @@ class RunConfig:
     k_min: int = 1
     k_max: int = 10
     cache_dir: str | None = None
-    workers: int = 1
     z: float = stats.DEFAULT_Z
     format: str = "json"
     max_train: int | None = None
@@ -112,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--test-labels", required=True)
         p.add_argument("--metric", choices=["plain", "sliding"], default="plain")
         p.add_argument("--cache-dir", default=os.environ.get("KNN_CACHE_DIR"))
-        p.add_argument("--workers", type=_positive_int,
-                       default=os.cpu_count() or 1)
         p.add_argument("--z", type=float, default=stats.DEFAULT_Z)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--max-train", type=_positive_int, default=None)
@@ -178,10 +175,10 @@ def _predictions(cfg: RunConfig, train: Dataset, test: Dataset,
                  metric: MetricId) -> np.ndarray:
     if cfg.cache_dir:
         matrix = build_matrix_cached(
-            train, test, metric, _cache_path(cfg, train, test, metric), cfg.workers
+            train, test, metric, _cache_path(cfg, train, test, metric)
         )
         return classifier.predict_labels(matrix.values, train.labels, cfg.k)
-    return classifier.classify_streaming(train, test, metric, cfg.k, cfg.workers)
+    return classifier.classify_streaming(train, test, metric, cfg.k)
 
 
 def _run_evaluation(cfg: RunConfig, train: Dataset, test: Dataset,
@@ -290,7 +287,7 @@ def cmd_crossval(cfg: RunConfig) -> int:
         raise ConfigError(f"--k-min={cfg.k_min} exceeds --k-max={cfg.k_max}")
     k_values = tuple(range(cfg.k_min, cfg.k_max + 1))
     metric = MetricId.from_cli_name(cfg.metric)
-    table = crossval.cross_validate(train, k_values, metric, cfg.folds, cfg.workers)
+    table = crossval.cross_validate(train, k_values, metric, cfg.folds)
     out_path = cfg.out or "crossval.csv"
     crossval.write_crossval_csv(table, out_path)
     chosen = crossval.select_k(table)
@@ -328,7 +325,7 @@ def cmd_inspect(cfg: RunConfig, index: int) -> int:
     metric = MetricId.from_cli_name(cfg.metric)
     probe = Dataset(test.images[index:index + 1], test.labels[index:index + 1], Split.TEST)
 
-    row = build_matrix(train, probe, metric, cfg.workers).values[0]
+    row = build_matrix(train, probe, metric).values[0]
     neighbors = classifier.k_nearest(row, cfg.k)
     predicted = classifier.vote(neighbors, train.labels)
     means = mean_distance_by_class(test.images[index], train)

@@ -42,7 +42,7 @@ class CrossValTable:
 def cross_validate(train: Dataset, k_values=DEFAULT_K_VALUES,
                    metric: MetricId = MetricId.PLAIN_L2,
                    num_folds: int = DEFAULT_NUM_FOLDS,
-                   workers: int = 1, progress=None) -> CrossValTable:
+                   progress=None) -> CrossValTable:
     """Validation accuracy for every (fold, k) pair.
 
     Streams each fold's matrix in row blocks and keeps only the top-k_max
@@ -61,7 +61,7 @@ def cross_validate(train: Dataset, k_values=DEFAULT_K_VALUES,
             raise BadK(f"k={k_max} exceeds fold training size {len(fold_train)}")
         neighbor_labels = np.empty((len(fold_val), k_max), dtype=np.uint8)
         for lo, block in iter_matrix_blocks(fold_train, fold_val, metric,
-                                            workers, progress=progress):
+                                            progress=progress):
             idx, _ = _top_k_block(block, k_max)
             neighbor_labels[lo:lo + block.shape[0]] = fold_train.labels[idx]
         for j, k in enumerate(k_values):

@@ -8,37 +8,49 @@ uint32 squared distances (~2.4 GB). Three ways to consume it:
   * iter_matrix_blocks  -- ordered blocks of rows, bounded memory
   * build_matrix_cached -- persistent cache file, reload is bit-identical
 
-The arithmetic trick: sum((x-y)^2) = x.x + y.y - 2*x.y, evaluated in
-float64 via BLAS. Every intermediate value is an integer no larger than
-2 * 784 * 255^2 < 2^53, so each float64 operation is exact regardless of
-summation order, FMA, or thread scheduling; results are therefore
-bit-identical for any worker count and equal to a naive integer loop.
+One kernel serves both metrics. Let W_s(x) be the crop at window index s
+of the zero-padded train image x, and S_s(t) the crop of the zero-padded
+test image t at the mirrored index NUM_WINDOWS - 1 - s. Then
 
-The sliding metric materializes each training image's 9 windows once per
-build (memory-for-throughput) and reduces with an elementwise minimum.
+    t.W_s(x) = S_s(t).x,  so  |W_s(x) - t|^2 = |W_s(x)|^2 - 2 S_s(t).x + |t|^2.
+
+Each block of test rows becomes one float64 GEMM of the rows
+[-2 S_s(t) | e_s], with e_s the s-th of S unit vectors, against the single
+train matrix [x | |W_0 x|^2 ... |W_(S-1) x|^2]; the minimum is taken over
+s and |t|^2 is added once after it. The plain metric is the case with
+only the center window; the sliding metric uses all nine.
+
+Every GEMM term and partial sum is an integer of magnitude at most
+2 * 784 * 255^2 + 784 * 255^2 < 2^53, so each float64 operation is exact
+regardless of summation order, FMA, or thread scheduling; results are
+therefore bit-identical for any BLAS thread count and equal to a naive
+integer loop.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset_ops import NUM_WINDOWS, extract_windows_batch, pad_images
+from .dataset_ops import (
+    CENTER_WINDOW, NUM_WINDOWS, extract_windows, extract_windows_batch, pad_image,
+    pad_images,
+)
 from .errors import BadMagic, MetricMismatch, TruncatedFile
-from .idx_io import Dataset
+from .idx_io import IMAGE_PIXELS, Dataset
 from .metrics import MetricId
 
 CACHE_MAGIC = b"KNNDMAT1"
 _CACHE_HEADER = struct.Struct("<8sBII")  # magic, metric_id, n_test, n_train
 
-# rows per block: ~32 MB of uint32 output per block at full train width
+# float64 cells per GEMM operand of one block: ~64 MB, ~32 MB of uint32 output
 _BLOCK_CELLS = 8_000_000
-# training images converted to float64 per sliding-metric slab
-_TRAIN_CHUNK = 2048
+# rows per int64 or float64 slab when summing squares, ~100 MB at 784 pixels
+_SQUARES_ROWS = 16384
 
 # cells evaluated by kernels since import; cache hits must not move this
 _kernel_evals = 0
@@ -67,114 +79,78 @@ class DistanceMatrix:
 def _sum_of_squares(images: np.ndarray) -> np.ndarray:
     """Row-wise sum of squared pixel values, in bounded memory."""
     out = np.empty(images.shape[0], dtype=np.float64)
-    step = 16384
-    for lo in range(0, images.shape[0], step):
-        chunk = images[lo:lo + step].astype(np.int64)
-        out[lo:lo + step] = (chunk * chunk).sum(axis=1)
+    for lo in range(0, images.shape[0], _SQUARES_ROWS):
+        chunk = images[lo:lo + _SQUARES_ROWS].astype(np.int64)
+        out[lo:lo + _SQUARES_ROWS] = (chunk * chunk).sum(axis=1)
     return out
 
 
-class _PlainKernel:
-    def __init__(self, train_images: np.ndarray):
-        self.train_f64 = train_images.astype(np.float64)
-        self.sq_train = _sum_of_squares(train_images)
+class _ShiftKernel:
+    """Minimum squared distance over the given window indices.
+
+    Holds the train matrix [x | |W_s x|^2 for s in windows] in float64;
+    each call turns a test block into [-2 S_s(t) | e_s] rows (module
+    docstring) and reduces one GEMM over the windows.
+    """
+
+    def __init__(self, train_images: np.ndarray, windows):
+        self.num_windows = len(windows)
+        self.mirrored = [NUM_WINDOWS - 1 - s for s in windows]
+        # |W_s x|^2 = S_s(1).x^2: the same identity on an all-ones test image
+        masks = extract_windows(pad_image(np.ones(IMAGE_PIXELS, np.uint8)))
+        masks = masks[self.mirrored].astype(np.float64)
+        self.train = np.empty((train_images.shape[0], IMAGE_PIXELS + self.num_windows))
+        self.train[:, :IMAGE_PIXELS] = train_images
+        for lo in range(0, train_images.shape[0], _SQUARES_ROWS):
+            x = self.train[lo:lo + _SQUARES_ROWS, :IMAGE_PIXELS]
+            self.train[lo:lo + _SQUARES_ROWS, IMAGE_PIXELS:] = (x * x) @ masks.T
 
     def __call__(self, test_block: np.ndarray) -> np.ndarray:
-        t = test_block.astype(np.float64)
-        sq_test = _sum_of_squares(test_block)
-        d = sq_test[:, None] + self.sq_train[None, :] - 2.0 * (t @ self.train_f64.T)
+        b, s = test_block.shape[0], self.num_windows
+        crops = extract_windows_batch(pad_images(test_block))[:, self.mirrored]
+        lhs = np.empty((b, s, self.train.shape[1]))
+        np.multiply(crops, -2.0, out=lhs[:, :, :IMAGE_PIXELS])
+        lhs[:, :, IMAGE_PIXELS:] = np.eye(s)
+        d = lhs.reshape(b * s, -1) @ self.train.T
+        if s > 1:  # over one window the minimum is the identity; skip its copy
+            d = d.reshape(b, s, -1).min(axis=1)
+        d += _sum_of_squares(test_block)[:, None]
         return d.astype(np.uint32)
 
 
-class _SlidingKernel:
-    def __init__(self, train_images: np.ndarray):
-        windows = extract_windows_batch(pad_images(train_images))
-        self.n_train = train_images.shape[0]
-        self.windows = windows.reshape(self.n_train * NUM_WINDOWS, -1)
-        self.sq_win = _sum_of_squares(self.windows)
-
-    def __call__(self, test_block: np.ndarray) -> np.ndarray:
-        b = test_block.shape[0]
-        t = test_block.astype(np.float64)
-        sq_test = _sum_of_squares(test_block)
-        out = np.empty((b, self.n_train), dtype=np.uint32)
-        for lo in range(0, self.n_train, _TRAIN_CHUNK):
-            hi = min(lo + _TRAIN_CHUNK, self.n_train)
-            w = self.windows[lo * NUM_WINDOWS:hi * NUM_WINDOWS].astype(np.float64)
-            d = sq_test[:, None] + self.sq_win[lo * NUM_WINDOWS:hi * NUM_WINDOWS][None, :]
-            d -= 2.0 * (t @ w.T)
-            out[:, lo:hi] = d.reshape(b, hi - lo, NUM_WINDOWS).min(axis=2).astype(np.uint32)
-        return out
-
-
-def _make_kernel(train: Dataset, metric: MetricId):
-    if metric is MetricId.SLIDING_L2:
-        return _SlidingKernel(train.images)
-    return _PlainKernel(train.images)
-
-
-def _block_starts(n_test: int, n_train: int, block_rows=None):
-    if block_rows is None:
-        block_rows = max(1, _BLOCK_CELLS // max(1, n_train))
-    return [(lo, min(lo + block_rows, n_test)) for lo in range(0, n_test, block_rows)]
+def _make_kernel(train: Dataset, metric: MetricId) -> _ShiftKernel:
+    windows = range(NUM_WINDOWS) if metric is MetricId.SLIDING_L2 else [CENTER_WINDOW]
+    return _ShiftKernel(train.images, windows)
 
 
 def iter_matrix_blocks(train: Dataset, test: Dataset, metric: MetricId,
-                       workers: int = 1, block_rows=None, progress=None):
-    """Yield (row_start, block_values) in row order.
+                       block_rows=None, progress=None):
+    """Yield (row_start, block_values) in ascending row order.
 
-    Blocks are computed by up to `workers` threads but always yielded in
-    ascending row order, with a bounded number in flight, so streaming
-    consumers see a deterministic sequence and memory stays flat. The
-    optional `progress` callback gets (rows_done, rows_total) after each
-    block; passing None costs nothing.
+    By default a block holds as many rows as keep its GEMM operands under
+    _BLOCK_CELLS, so memory stays flat however many test rows stream
+    through. The optional `progress` callback gets (rows_done, rows_total)
+    after each block; passing None costs nothing.
     """
     global _kernel_evals
     kernel = _make_kernel(train, metric)
-    spans = _block_starts(len(test), len(train), block_rows)
     total = len(test)
-
-    def run(span):
-        lo, hi = span
-        return lo, kernel(test.images[lo:hi])
-
-    if workers <= 1:
-        results = map(run, spans)
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = _in_order(pool, run, spans, in_flight=workers * 2)
-
-    done = 0
-    for lo, block in results:
-        _kernel_evals += block.shape[0] * block.shape[1]
-        done += block.shape[0]
+    if block_rows is None:
+        row_cells = kernel.num_windows * max(len(train), kernel.train.shape[1])
+        block_rows = max(1, _BLOCK_CELLS // row_cells)
+    for lo in range(0, total, block_rows):
+        block = kernel(test.images[lo:lo + block_rows])
+        _kernel_evals += block.size
         if progress is not None:
-            progress(done, total)
+            progress(lo + block.shape[0], total)
         yield lo, block
 
 
-def _in_order(pool, fn, items, in_flight):
-    """Map fn over items on a pool, yielding results in submission order."""
-    from collections import deque
-
-    it = iter(items)
-    pending = deque()
-    try:
-        for item in it:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= in_flight:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def build_matrix(train: Dataset, test: Dataset, metric: MetricId,
-                 workers: int = 1, progress=None) -> DistanceMatrix:
+                 progress=None) -> DistanceMatrix:
     """Compute the full matrix in one contiguous uint32 allocation."""
     values = np.empty((len(test), len(train)), dtype=np.uint32)
-    for lo, block in iter_matrix_blocks(train, test, metric, workers, progress=progress):
+    for lo, block in iter_matrix_blocks(train, test, metric, progress=progress):
         values[lo:lo + block.shape[0]] = block
     values.flags.writeable = False
     return DistanceMatrix(metric, values)
@@ -186,14 +162,27 @@ def save_cache(matrix: DistanceMatrix, path) -> None:
     Layout (little-endian, in contrast to the big-endian IDX inputs):
     8-byte magic "KNNDMAT1", u8 metric id, u32 n_test, u32 n_train, then
     n_test * n_train u32 squared distances, row-major.
+
+    The bytes go to a fresh temporary file next to `path`, which is synced
+    and then renamed over it, so a crash at any point leaves `path` either
+    absent, as it was, or complete.
     """
+    path = Path(path)
     header = _CACHE_HEADER.pack(
         CACHE_MAGIC, int(matrix.metric), matrix.n_test, matrix.n_train
     )
     payload = np.ascontiguousarray(matrix.values, dtype="<u4")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload.tobytes())
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(header)
+            f.write(payload)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path, expect_metric: MetricId | None = None) -> DistanceMatrix:
@@ -221,7 +210,7 @@ def load_cache(path, expect_metric: MetricId | None = None) -> DistanceMatrix:
 
 
 def build_matrix_cached(train: Dataset, test: Dataset, metric: MetricId,
-                        cache_path, workers: int = 1, progress=None) -> DistanceMatrix:
+                        cache_path, progress=None) -> DistanceMatrix:
     """Load the matrix from cache_path if valid, else build and save it.
 
     A cache built under a different metric raises MetricMismatch rather
@@ -233,7 +222,7 @@ def build_matrix_cached(train: Dataset, test: Dataset, metric: MetricId,
         cached = load_cache(cache_path, expect_metric=metric)
         if cached.n_test == len(test) and cached.n_train == len(train):
             return cached
-    matrix = build_matrix(train, test, metric, workers, progress=progress)
+    matrix = build_matrix(train, test, metric, progress=progress)
     cache_path.parent.mkdir(parents=True, exist_ok=True)
     save_cache(matrix, cache_path)
     return matrix

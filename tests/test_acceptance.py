@@ -7,7 +7,6 @@ marked `slow` and opts in via `-m slow`.
 """
 
 import csv
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,8 +26,6 @@ from knndigits.stats import (
     accuracy, binomial_std, confidence_interval, confusion_matrix, evaluate,
     two_proportion_test,
 )
-
-WORKER_COUNTS = (1, 4, 8)
 
 
 @contextmanager
@@ -53,16 +50,13 @@ def test_c1_full_scale_golden_numbers(canonical_paths):
     """Golden full-run accuracies, their difference, and the rejection."""
     with criterion("C1", "full-scale golden numbers"):
         train, test = load_canonical(canonical_paths)
-        workers = os.cpu_count() or 1
 
-        plain_preds = classify_streaming(train, test, MetricId.PLAIN_L2, k=3,
-                                         workers=workers)
+        plain_preds = classify_streaming(train, test, MetricId.PLAIN_L2, k=3)
         plain_acc = accuracy(plain_preds, test.labels)
         print(f"plain k=3 accuracy: {plain_acc:.4f}")
         assert abs(plain_acc - 0.9717) <= 0.0015
 
-        sliding_preds = classify_streaming(train, test, MetricId.SLIDING_L2, k=3,
-                                           workers=workers)
+        sliding_preds = classify_streaming(train, test, MetricId.SLIDING_L2, k=3)
         sliding_acc = accuracy(sliding_preds, test.labels)
         print(f"sliding k=3 accuracy: {sliding_acc:.4f}")
         assert abs(sliding_acc - 0.9773) <= 0.0015
@@ -102,9 +96,8 @@ def test_c3_oracle_equivalence():
             )
             for metric in (MetricId.PLAIN_L2, MetricId.SLIDING_L2):
                 expected = oracles.naive_matrix(train.images, test.images, metric)
-                for workers in WORKER_COUNTS:
-                    got = build_matrix(train, test, metric, workers=workers).values
-                    assert (got == expected).all()
+                got = build_matrix(train, test, metric).values
+                assert (got == expected).all()
 
             # selection vs full-stable-sort prefix on the rows just built
             row = expected[0]
@@ -165,11 +158,10 @@ def test_c5_desk_scale_accuracy_trend(canonical_paths):
         train, test = load_canonical(canonical_paths)
         train = train.take(6_000)
         test = test.take(1_000)
-        workers = os.cpu_count() or 1
 
         reports = {}
         for metric in (MetricId.PLAIN_L2, MetricId.SLIDING_L2):
-            preds = classify_streaming(train, test, metric, k=3, workers=workers)
+            preds = classify_streaming(train, test, metric, k=3)
             reports[metric] = evaluate(preds, test.labels, metric, k=3)
             print(f"{metric.cli_name} k=3 accuracy (6k x 1k): "
                   f"{reports[metric].accuracy:.4f}")
@@ -269,8 +261,7 @@ def test_full_scale_crossval_selects_three(canonical_paths):
     golden = [0.9653, 0.9684, 0.9717, 0.9664, 0.9706,
                  0.9628, 0.9711, 0.9684, 0.9639, 0.9659]
     train, _ = load_canonical(canonical_paths)
-    table = cross_validate(train, tuple(range(1, 11)), MetricId.PLAIN_L2,
-                           num_folds=10, workers=os.cpu_count() or 1)
+    table = cross_validate(train, tuple(range(1, 11)), MetricId.PLAIN_L2, num_folds=10)
     print("crossval means:", np.round(table.mean_by_k, 4).tolist())
     assert select_k(table) == 3
     assert np.abs(table.mean_by_k - np.array(golden)).max() <= 0.003

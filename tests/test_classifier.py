@@ -129,7 +129,7 @@ def test_classify_paths_agree(seed, k):
         matrix = build_matrix(train, test, metric)
         from_all = [p.label for p in classify_all(matrix, train.labels, k)]
         from_fast = predict_labels(matrix.values, train.labels, k).tolist()
-        from_stream = classify_streaming(train, test, metric, k, workers=2).tolist()
+        from_stream = classify_streaming(train, test, metric, k).tolist()
         assert from_all == from_fast == from_stream
 
 
